@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-dispatch bench-authz bench-keycom bench-federation bench-gateway fuzz-smoke
+.PHONY: all build test race bench bench-dispatch bench-authz bench-keycom bench-federation bench-gateway fuzz-smoke perfbench
 
 all: build test
 
@@ -64,6 +64,18 @@ bench-gateway:
 	$(GO) run ./tools/benchcmp -baseline BENCH_gateway.json -input gw_bench.txt -match 'BenchmarkGatewayOverload/p99$$' -threshold 3 -max-ns 500000000
 	$(GO) run ./tools/benchcmp -baseline BENCH_gateway.json -input gw_bench.txt -match 'BenchmarkGatewayOverload/shed-headroom-permille$$' -threshold 1000 -max-ns 500
 	rm -f gw_bench.txt
+
+# perfbench runs the end-to-end benchmark (perfbench/README.md) on one
+# workload: gateway-hot, gateway-churn or metacomputer. The last line
+# it prints is the JSON result; the exit status is 1 on any oracle
+# mismatch.
+PERF_WORKLOAD ?= gateway-hot
+PERF_SEED ?= 1
+PERF_SECONDS ?= 20
+PERF_TRACE ?= 0
+
+perfbench:
+	bash perfbench/run.sh --workload $(PERF_WORKLOAD) --seed $(PERF_SEED) --seconds $(PERF_SECONDS) --trace $(PERF_TRACE)
 
 fuzz-smoke:
 	$(GO) test -run Fuzz -fuzz=FuzzMsgDecode -fuzztime=10s ./internal/webcom

@@ -37,6 +37,7 @@ import (
 
 	"securewebcom/internal/keynote"
 	"securewebcom/internal/keynote/compile"
+	"securewebcom/internal/lru"
 	"securewebcom/internal/telemetry"
 )
 
@@ -62,10 +63,10 @@ type Engine struct {
 	polHash   string
 
 	mu       sync.Mutex
-	sessions *lruCache[*CredentialSession] // by fingerprint, bounded
-	cache    *lruCache[*Decision]
-	dags     *lruCache[dagEntry] // compiled DAGs by fingerprint, epoch-tagged
-	epoch    atomic.Uint64       // bumped by Invalidate; see Epoch
+	sessions *lru.Cache[*CredentialSession] // by fingerprint, bounded
+	cache    *lru.Cache[*Decision]
+	dags     *lru.Cache[dagEntry] // compiled DAGs by fingerprint, epoch-tagged
+	epoch    atomic.Uint64        // bumped by Invalidate; see Epoch
 
 	hits, misses, invalidations uint64
 
@@ -80,7 +81,7 @@ type Option func(*Engine)
 func WithCacheSize(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
-			e.cache = newLRUCache[*Decision](n)
+			e.cache = lru.New[*Decision](n)
 		}
 	}
 }
@@ -90,7 +91,7 @@ func WithCacheSize(n int) Option {
 func WithSessionCap(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
-			e.sessions = newLRUCache[*CredentialSession](n)
+			e.sessions = lru.New[*CredentialSession](n)
 		}
 	}
 }
@@ -104,7 +105,7 @@ func WithSessionCap(n int) Option {
 func WithDAGCacheSize(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
-			e.dags = newLRUCache[dagEntry](n)
+			e.dags = lru.New[dagEntry](n)
 		}
 	}
 }
@@ -139,9 +140,9 @@ func NewEngine(chk *keynote.Checker, opts ...Option) *Engine {
 		memo:      chk.MemoizeResolver(),
 		layerName: "L2:keynote",
 		polHash:   policyHash(chk.Policy()),
-		sessions:  newLRUCache[*CredentialSession](DefaultSessionCap),
-		cache:     newLRUCache[*Decision](DefaultCacheSize),
-		dags:      newLRUCache[dagEntry](DefaultDAGCacheSize),
+		sessions:  lru.New[*CredentialSession](DefaultSessionCap),
+		cache:     lru.New[*Decision](DefaultCacheSize),
+		dags:      lru.New[dagEntry](DefaultDAGCacheSize),
 	}
 	for _, o := range opts {
 		o(e)
@@ -157,9 +158,13 @@ func (e *Engine) Checker() *keynote.Checker { return e.checker }
 // share one session, so a reconnecting client or a repeat administrator
 // costs no re-verification.
 func (e *Engine) Session(creds []*keynote.Assertion) *CredentialSession {
+	// The epoch is snapshotted before any resolver read, so a session
+	// whose admission raced an Invalidate is tagged with the epoch its
+	// inputs came from and never cached into the next one.
+	epoch := e.epoch.Load()
 	fp := e.fingerprint(creds)
 	e.mu.Lock()
-	if s, ok := e.sessions.get(fp); ok {
+	if s, ok := e.sessions.Get(fp); ok && s.epoch == epoch {
 		e.mu.Unlock()
 		return s
 	}
@@ -167,7 +172,7 @@ func (e *Engine) Session(creds []*keynote.Assertion) *CredentialSession {
 
 	// Admission runs outside the lock: signature verification is the
 	// expensive part and must not serialise unrelated handshakes.
-	s := &CredentialSession{engine: e, fp: fp}
+	s := &CredentialSession{engine: e, fp: fp, epoch: epoch}
 	for _, cr := range creds {
 		switch {
 		case cr.IsPolicy():
@@ -199,7 +204,6 @@ func (e *Engine) Session(creds []*keynote.Assertion) *CredentialSession {
 	// failure is not an admission failure — the session falls back to
 	// the interpreter.
 	if !e.noCompile {
-		epoch := e.epoch.Load()
 		if dag, ok := e.dagGet(fp, epoch); ok {
 			s.compiled = dag
 			e.tel.Counter("authz.compile.dag_cache.hits").Inc()
@@ -217,12 +221,21 @@ func (e *Engine) Session(creds []*keynote.Assertion) *CredentialSession {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if prior, ok := e.sessions.get(fp); ok {
+	if e.epoch.Load() != epoch {
+		return s // admitted across an Invalidate: usable, never shared
+	}
+	if prior, ok := e.sessions.Get(fp); ok && prior.epoch == epoch {
 		return prior // lost the admission race; identical content anyway
 	}
-	e.sessions.put(fp, s)
+	e.sessions.Put(fp, s)
 	return s
 }
+
+// SessionCap returns how many admitted sessions the engine retains (see
+// WithSessionCap). Callers that pin sessions in tables of their own
+// size them by it, so no table keeps more sessions alive than the
+// engine would.
+func (e *Engine) SessionCap() int { return e.sessions.Cap() }
 
 // dagEntry is one cached compiled DAG, tagged with the epoch it was
 // compiled under; a stale tag makes the entry invisible.
@@ -235,7 +248,7 @@ type dagEntry struct {
 func (e *Engine) dagGet(fp string, epoch uint64) (*compile.DAG, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ent, ok := e.dags.get(fp)
+	ent, ok := e.dags.Get(fp)
 	if !ok || ent.epoch != epoch {
 		return nil, false
 	}
@@ -247,7 +260,7 @@ func (e *Engine) dagGet(fp string, epoch uint64) (*compile.DAG, bool) {
 // permanently stale rather than ever serving it.
 func (e *Engine) dagPut(fp string, epoch uint64, dag *compile.DAG) {
 	e.mu.Lock()
-	e.dags.put(fp, dagEntry{epoch: epoch, dag: dag})
+	e.dags.Put(fp, dagEntry{epoch: epoch, dag: dag})
 	e.mu.Unlock()
 }
 
@@ -258,24 +271,33 @@ func (e *Engine) dagPut(fp string, epoch uint64, dag *compile.DAG) {
 // under epoch N must not be memoised into epoch N+1.
 func (e *Engine) Epoch() uint64 { return e.epoch.Load() }
 
-// Invalidate flushes the decision cache, the admitted sessions, the
-// compiled-DAG cache and the resolver memo, and advances the epoch —
+// Invalidate flushes the resolver memo, the decision cache, the
+// admitted sessions and the compiled-DAG cache, and advances the epoch —
 // every epoch-guarded derivation (verdict bitmaps, delegation mint
 // caches, relint-skip tables) goes stale with it. KeyCOM fires it on every
 // catalogue commit; anything that changes policy inputs out from under
 // the engine should too.
+//
+// The contract to a decide racing it: once Invalidate returns, no
+// decision, session or DAG derived from inputs read before it was called
+// is served from any engine cache. Each derivation is tagged with the
+// epoch snapshotted before its first resolver read and inserted only if
+// the epoch is unchanged under e.mu; the memo is flushed before the
+// bump, so a derivation that snapshots the new epoch resolves afresh.
+// A decide already in flight may still return its pre-Invalidate answer
+// to its own caller.
 func (e *Engine) Invalidate() {
-	e.epoch.Add(1)
-	e.mu.Lock()
-	e.cache.clear()
-	e.sessions.clear()
-	e.dags.clear()
-	e.invalidations++
-	e.mu.Unlock()
-	e.tel.Counter("authz.cache.invalidations").Inc()
 	if e.memo != nil {
 		e.memo.Flush()
 	}
+	e.epoch.Add(1)
+	e.mu.Lock()
+	e.cache.Clear()
+	e.sessions.Clear()
+	e.dags.Clear()
+	e.invalidations++
+	e.mu.Unlock()
+	e.tel.Counter("authz.cache.invalidations").Inc()
 }
 
 // Stats is a point-in-time snapshot of the engine's counters.
@@ -292,8 +314,8 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return Stats{
-		Sessions:      e.sessions.len(),
-		CacheEntries:  e.cache.len(),
+		Sessions:      e.sessions.Len(),
+		CacheEntries:  e.cache.Len(),
 		Hits:          e.hits,
 		Misses:        e.misses,
 		Invalidations: e.invalidations,
@@ -302,7 +324,7 @@ func (e *Engine) Stats() Stats {
 
 func (e *Engine) cacheGet(key string) (*Decision, bool) {
 	e.mu.Lock()
-	d, ok := e.cache.get(key)
+	d, ok := e.cache.Get(key)
 	if ok {
 		e.hits++
 	} else {
@@ -317,9 +339,13 @@ func (e *Engine) cacheGet(key string) (*Decision, bool) {
 	return d, ok
 }
 
-func (e *Engine) cachePut(key string, d *Decision) {
+// cachePut caches d only if the epoch is still the one the deciding
+// session was admitted under; see Invalidate.
+func (e *Engine) cachePut(epoch uint64, key string, d *Decision) {
 	e.mu.Lock()
-	e.cache.put(key, d)
+	if e.epoch.Load() == epoch {
+		e.cache.Put(key, d)
+	}
 	e.mu.Unlock()
 }
 
@@ -330,7 +356,7 @@ func (e *Engine) cacheGetBatch(keys []string) []*Decision {
 	var hits, misses int64
 	e.mu.Lock()
 	for i, key := range keys {
-		if d, ok := e.cache.get(key); ok {
+		if d, ok := e.cache.Get(key); ok {
 			out[i] = d
 			hits++
 		} else {
@@ -346,11 +372,13 @@ func (e *Engine) cacheGetBatch(keys []string) []*Decision {
 }
 
 // cachePutBatch inserts all key/decision pairs under one lock
-// acquisition.
-func (e *Engine) cachePutBatch(keys []string, ds []*Decision) {
+// acquisition, under the same epoch guard as cachePut.
+func (e *Engine) cachePutBatch(epoch uint64, keys []string, ds []*Decision) {
 	e.mu.Lock()
-	for i, key := range keys {
-		e.cache.put(key, ds[i])
+	if e.epoch.Load() == epoch {
+		for i, key := range keys {
+			e.cache.Put(key, ds[i])
+		}
 	}
 	e.mu.Unlock()
 }
@@ -387,6 +415,7 @@ func policyHash(policy []*keynote.Assertion) string {
 type CredentialSession struct {
 	engine   *Engine
 	fp       string
+	epoch    uint64 // engine epoch the session's inputs were read under
 	admitted []*keynote.Assertion
 	rejected []keynote.RejectedCredential
 	compiled *compile.DAG // nil when compilation is disabled or failed
@@ -469,7 +498,7 @@ func (s *CredentialSession) Decide(ctx context.Context, q keynote.Query) (*Decis
 	}
 	d := s.decisionOf(q, res, start)
 	span.SetAttr("allowed", strconv.FormatBool(d.Allowed))
-	s.engine.cachePut(key, d)
+	s.engine.cachePut(s.epoch, key, d)
 	return d, nil
 }
 
@@ -574,7 +603,7 @@ func (s *CredentialSession) DecideBulk(ctx context.Context, qs []keynote.Query) 
 		missKeys[j] = keys[i]
 		missDecisions[j] = out[i]
 	}
-	s.engine.cachePutBatch(missKeys, missDecisions)
+	s.engine.cachePutBatch(s.epoch, missKeys, missDecisions)
 	return out, nil
 }
 

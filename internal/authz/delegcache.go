@@ -37,6 +37,7 @@ import (
 
 	"securewebcom/internal/keynote"
 	"securewebcom/internal/keys"
+	"securewebcom/internal/lru"
 	"securewebcom/internal/telemetry"
 )
 
@@ -88,8 +89,8 @@ type MintCache struct {
 	engine *Engine // epoch source; nil pins epoch 0 (no invalidation)
 	tel    *telemetry.Registry
 
-	mu  sync.Mutex
-	lru *lruCache[*mintEntry]
+	mu      sync.Mutex
+	entries *lru.Cache[*mintEntry]
 }
 
 // NewMintCache builds a mint cache guarded by engine's epoch (nil
@@ -99,7 +100,7 @@ func NewMintCache(engine *Engine, capacity int, tel *telemetry.Registry) *MintCa
 	if capacity <= 0 {
 		capacity = DefaultMintCacheSize
 	}
-	return &MintCache{engine: engine, tel: tel, lru: newLRUCache[*mintEntry](capacity)}
+	return &MintCache{engine: engine, tel: tel, entries: lru.New[*mintEntry](capacity)}
 }
 
 func (c *MintCache) epoch() uint64 {
@@ -119,7 +120,7 @@ func (c *MintCache) Mint(parent *keys.KeyPair, delegate string, scope Delegation
 	key := parent.PublicID() + "\x1e" + scopeKey(delegate, scope)
 	epoch := c.epoch()
 	c.mu.Lock()
-	if ent, ok := c.lru.get(key); ok && ent.epoch == epoch {
+	if ent, ok := c.entries.Get(key); ok && ent.epoch == epoch {
 		c.mu.Unlock()
 		c.tel.Counter("authz.mint_cache.hits").Inc()
 		return ent.cred, true, nil
@@ -135,7 +136,7 @@ func (c *MintCache) Mint(parent *keys.KeyPair, delegate string, scope Delegation
 		return nil, false, err
 	}
 	c.mu.Lock()
-	c.lru.put(key, &mintEntry{epoch: epoch, cred: cred})
+	c.entries.Put(key, &mintEntry{epoch: epoch, cred: cred})
 	c.mu.Unlock()
 	return cred, false, nil
 }

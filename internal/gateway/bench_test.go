@@ -32,9 +32,10 @@ import (
 	"time"
 
 	"securewebcom/internal/faultnet"
+	"securewebcom/internal/gateway/jwtbridge"
 )
 
-func benchFixture(b *testing.B, mut func(*Config)) (*fixture, string) {
+func benchFixture(b testing.TB, mut func(*Config)) (*fixture, string) {
 	f := newFixture(b, func(c *Config) {
 		c.RatePerPrincipal = 1e12
 		c.Burst = 1e12
@@ -53,6 +54,40 @@ func BenchmarkGatewayDecideSingle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		req := httptest.NewRequest(http.MethodPost, "/v1/decide", bytes.NewReader(body))
 		req.Header.Set("Authorization", "Bearer "+tok)
+		w := httptest.NewRecorder()
+		f.srv.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", w.Code, w.Body.String())
+		}
+	}
+}
+
+// BenchmarkGatewayDecideSingleMiss is the admission-table miss path:
+// every iteration presents a token never seen before (same claims, a
+// fresh iat), so each pays JWT verification, the mint-cache lookup and
+// the session fingerprint that a table hit skips.
+func BenchmarkGatewayDecideSingleMiss(b *testing.B) {
+	f, _ := benchFixture(b, nil)
+	body, _ := json.Marshal(decideRequest{Operation: "echo"})
+	toks := make([]string, b.N)
+	for i := range toks {
+		tok, err := jwtbridge.Sign("HS256", jwtbridge.Claims{
+			Issuer:    "idp.example",
+			Subject:   "bench",
+			Scope:     "echo add",
+			ExpiresAt: e2eNow.Add(time.Hour).Unix(),
+			IssuedAt:  e2eNow.Unix() - int64(i),
+		}, e2eSecret, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		toks[i] = tok
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/v1/decide", bytes.NewReader(body))
+		req.Header.Set("Authorization", "Bearer "+toks[i])
 		w := httptest.NewRecorder()
 		f.srv.ServeHTTP(w, req)
 		if w.Code != http.StatusOK {

@@ -27,7 +27,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"securewebcom/internal/authz"
@@ -78,16 +80,24 @@ type Config struct {
 
 // Server is the front door. It implements http.Handler.
 type Server struct {
-	engine  *authz.Engine
-	bridge  *jwtbridge.Bridge
-	keycom  *keycom.Service
-	tel     *telemetry.Registry
-	tracer  *telemetry.Tracer
-	shed    *shedder
-	buckets *tokenBuckets
-	maxBody int64
-	now     func() time.Time
-	mux     *http.ServeMux
+	engine   *authz.Engine
+	bridge   *jwtbridge.Bridge
+	keycom   *keycom.Service
+	tracer   *telemetry.Tracer
+	shed     *shedder
+	buckets  *tokenBuckets
+	admitted *admissions
+	maxBody  int64
+	now      func() time.Time
+	mux      *http.ServeMux
+
+	// clock memoises the expiry bucket and its rendering (see clockAt).
+	clock atomic.Pointer[bucketClock]
+
+	// Metric handles, looked up once; nil when telemetry is off.
+	decides, authRejects, shedConcurrency, shedRate *telemetry.Counter
+	admitHits, admitMisses, commits, refusals       *telemetry.Counter
+	decideLatency                                   *telemetry.Histogram
 }
 
 // New builds a Server and, when a KeyCOM service is present, wires its
@@ -107,16 +117,27 @@ func New(cfg Config) (*Server, error) {
 	if now == nil {
 		now = time.Now
 	}
+	tel := cfg.Tel
 	s := &Server{
-		engine:  cfg.Engine,
-		bridge:  cfg.Bridge,
-		keycom:  cfg.KeyCOM,
-		tel:     cfg.Tel,
-		tracer:  cfg.Tracer,
-		shed:    newShedder(cfg.MaxInFlight, cfg.MaxBulkInFlight),
-		buckets: newTokenBuckets(cfg.RatePerPrincipal, cfg.Burst, cfg.MaxPrincipals),
-		maxBody: maxBody,
-		now:     now,
+		engine:   cfg.Engine,
+		bridge:   cfg.Bridge,
+		keycom:   cfg.KeyCOM,
+		tracer:   cfg.Tracer,
+		shed:     newShedder(cfg.MaxInFlight, cfg.MaxBulkInFlight),
+		buckets:  newTokenBuckets(cfg.RatePerPrincipal, cfg.Burst, cfg.MaxPrincipals),
+		admitted: newAdmissions(cfg.Engine.SessionCap()),
+		maxBody:  maxBody,
+		now:      now,
+
+		decides:         tel.Counter("gateway.decides"),
+		authRejects:     tel.Counter("gateway.auth.rejects"),
+		shedConcurrency: tel.Counter("gateway.shed.over capacity"),
+		shedRate:        tel.Counter("gateway.shed.rate limit"),
+		admitHits:       tel.Counter("gateway.admit.hits"),
+		admitMisses:     tel.Counter("gateway.admit.misses"),
+		commits:         tel.Counter("gateway.credentials.commits"),
+		refusals:        tel.Counter("gateway.credentials.refusals"),
+		decideLatency:   tel.Histogram("gateway.decide.latency"),
 	}
 	if s.keycom != nil {
 		// A committed catalogue update must orphan every cached decision,
@@ -173,14 +194,10 @@ func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...an
 
 // shedReply refuses a request with 429 and a Retry-After hint; the
 // request has done no work yet, so retrying is always safe.
-func (s *Server) shedReply(w http.ResponseWriter, retryAfter time.Duration, why string) {
+func (s *Server) shedReply(w http.ResponseWriter, retryAfter time.Duration, why string, c *telemetry.Counter) {
 	w.Header().Set("Retry-After", retryAfterSeconds(retryAfter))
-	s.counter("gateway.shed." + why).Inc()
+	c.Inc()
 	s.fail(w, http.StatusTooManyRequests, "shed: %s", why)
-}
-
-func (s *Server) counter(name string) *telemetry.Counter {
-	return s.tel.Counter(name)
 }
 
 // bearer extracts the Authorization bearer token.
@@ -250,17 +267,55 @@ func (s *Server) buildQuery(principal string, op string, attrs map[string]string
 	return keynote.Query{Authorizers: []string{principal}, Attributes: qa}, nil
 }
 
-// nowAttr renders the current instant for the query's expiry attribute,
-// truncated to the bridge's bucket granularity so decisions stay
-// cacheable within a bucket. Expiry is therefore enforced at bucket
-// resolution: a credential may be honoured up to one granularity past
-// its bound, never more.
-func (s *Server) nowAttr(now time.Time) string {
+// bucketClock is one expiry bucket and its rendering.
+type bucketClock struct {
+	bucket time.Time
+	attr   string
+}
+
+// clockAt returns the expiry bucket now falls in — the bridge's
+// granularity, the same truncation its minted bounds use — rendered for
+// the query's expiry attribute, so decisions stay cacheable within a
+// bucket. Expiry is therefore enforced at bucket resolution: a
+// credential may be honoured up to one granularity past its bound,
+// never more. The rendering is memoised, so it runs once a bucket.
+func (s *Server) clockAt(now time.Time) *bucketClock {
 	g := s.bridge.Granularity
 	if g <= 0 {
 		g = jwtbridge.DefaultGranularity
 	}
-	return now.UTC().Truncate(g).Format(time.RFC3339)
+	bucket := now.UTC().Truncate(g)
+	if c := s.clock.Load(); c != nil && c.bucket.Equal(bucket) {
+		return c
+	}
+	c := &bucketClock{bucket: bucket, attr: bucket.Format(time.RFC3339)}
+	s.clock.Store(c)
+	return c
+}
+
+// admit resolves a bearer token to its principal and engine session,
+// from the admission table when an entry is honoured at now, else
+// through bridge.Admit and engine.Session. epoch is the engine epoch
+// the pair was derived under.
+func (s *Server) admit(now, bucket time.Time, token string) (*jwtbridge.Principal, *authz.CredentialSession, uint64, error) {
+	key := tokenKey(token)
+	epoch := s.engine.Epoch()
+	if a, ok := s.admitted.get(key, now, bucket, epoch); ok {
+		s.admitHits.Inc()
+		return a.p, a.session, epoch, nil
+	}
+	s.admitMisses.Inc()
+	p, err := s.bridge.Admit(now, token)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	session := s.engine.Session([]*keynote.Assertion{p.Credential})
+	// Like the engine's own tables: a derivation that straddled an
+	// Invalidate is answered but never stored.
+	if s.engine.Epoch() == epoch {
+		s.admitted.put(key, admissionFor(p, session, epoch, bucket, s.bridge.Leeway()))
+	}
+	return p, session, epoch, nil
 }
 
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
@@ -286,7 +341,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusRequestEntityTooLarge, "bulk batch over %d queries", MaxBulkQueries)
 		return
 	}
-	span.SetAttr("bulk", fmt.Sprintf("%v", bulk))
+	span.SetAttr("bulk", strconv.FormatBool(bulk))
 
 	// Admission, cheapest refusal first: the concurrency shedder runs
 	// before the signature on the bearer token is ever checked. A shed
@@ -295,7 +350,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.shed.acquire(bulk)
 	if !ok {
 		span.SetAttr("shed", "concurrency")
-		s.shedReply(w, ShedRetryAfter, "over capacity")
+		s.shedReply(w, ShedRetryAfter, "over capacity", s.shedConcurrency)
 		return
 	}
 	defer release()
@@ -305,9 +360,10 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusUnauthorized, "missing bearer token")
 		return
 	}
-	p, err := s.bridge.Admit(start, tok)
+	clock := s.clockAt(start)
+	p, session, epoch, err := s.admit(start, clock.bucket, tok)
 	if err != nil {
-		s.counter("gateway.auth.rejects").Inc()
+		s.authRejects.Inc()
 		s.fail(w, http.StatusUnauthorized, "%v", err)
 		return
 	}
@@ -316,16 +372,12 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	allowed, wait := s.buckets.allow(p.Name, start)
 	if !allowed {
 		span.SetAttr("shed", "rate")
-		s.shedReply(w, wait, "rate limit")
+		s.shedReply(w, wait, "rate limit", s.shedRate)
 		return
 	}
 
-	session := s.engine.Session([]*keynote.Assertion{p.Credential})
-	nowAttr := s.nowAttr(start)
-	epoch := s.engine.Epoch()
-
 	if !bulk {
-		q, err := s.buildQuery(p.Name, req.Operation, req.Attributes, nowAttr)
+		q, err := s.buildQuery(p.Name, req.Operation, req.Attributes, clock.attr)
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, "%v", err)
 			return
@@ -346,7 +398,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 
 	qs := make([]keynote.Query, len(req.Queries))
 	for i, dq := range req.Queries {
-		q, err := s.buildQuery(p.Name, dq.Operation, dq.Attributes, nowAttr)
+		q, err := s.buildQuery(p.Name, dq.Operation, dq.Attributes, clock.attr)
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, "query %d: %v", i, err)
 			return
@@ -367,8 +419,8 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) observeDecide(start time.Time, n int) {
-	s.counter("gateway.decides").Add(int64(n))
-	s.tel.Histogram("gateway.decide.latency").ObserveDuration(time.Since(start))
+	s.decides.Add(int64(n))
+	s.decideLatency.ObserveDuration(time.Since(start))
 }
 
 // credentialsResponse acknowledges a committed catalogue update.
@@ -391,7 +443,7 @@ func (s *Server) handleCredentials(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.keycom.Apply(ctx, &req); err != nil {
-		s.counter("gateway.credentials.refusals").Inc()
+		s.refusals.Inc()
 		span.SetAttr("refused", "true")
 		// Authorisation and lint refusals are the caller's fault; anything
 		// else (store, middleware) is ours.
@@ -402,7 +454,7 @@ func (s *Server) handleCredentials(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, code, "%v", err)
 		return
 	}
-	s.counter("gateway.credentials.commits").Inc()
+	s.commits.Inc()
 	// The epoch in the ack is the post-commit epoch: the caller can watch
 	// it advance past the epoch of any earlier decide response.
 	s.writeJSON(w, http.StatusOK, credentialsResponse{Committed: true, Epoch: s.engine.Epoch()})

@@ -164,7 +164,7 @@ func (f *fixture) engineVerdict(sub, scope, op string, attrs map[string]string) 
 	if err != nil {
 		f.t.Fatal(err)
 	}
-	q, err := f.srv.buildQuery(p.Name, op, attrs, f.srv.nowAttr(e2eNow))
+	q, err := f.srv.buildQuery(p.Name, op, attrs, f.srv.clockAt(e2eNow).attr)
 	if err != nil {
 		f.t.Fatal(err)
 	}

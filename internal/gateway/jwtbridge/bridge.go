@@ -27,12 +27,16 @@ const DefaultTTL = 5 * time.Minute
 const DefaultGranularity = time.Minute
 
 // Bridge mints short-lived, exactly-scoped KeyNote credentials for
-// verified JWT subjects. It is safe for concurrent use.
+// verified JWT subjects. It is safe for concurrent use. Its exported
+// fields, and the Verifier it was built with, must not change once it
+// serves: callers may cache what Admit returned for as long as the
+// Principal's validity window and the engine epoch allow.
 type Bridge struct {
 	verifier *Verifier
 	signer   *keys.KeyPair
 	mint     *authz.MintCache
-	tel      *telemetry.Registry
+
+	rejects, mints, mintHits, mintErrors *telemetry.Counter
 
 	// AppDomain scopes every minted credential (default "WebCom").
 	AppDomain string
@@ -56,7 +60,10 @@ func New(v *Verifier, signer *keys.KeyPair, engine *authz.Engine, mintCacheSize 
 		verifier:    v,
 		signer:      signer,
 		mint:        authz.NewMintCache(engine, mintCacheSize, tel),
-		tel:         tel,
+		rejects:     tel.Counter("gateway.bridge.rejects"),
+		mints:       tel.Counter("gateway.bridge.mints"),
+		mintHits:    tel.Counter("gateway.bridge.mint_hits"),
+		mintErrors:  tel.Counter("gateway.bridge.mint_errors"),
 		AppDomain:   "WebCom",
 		TTL:         DefaultTTL,
 		Granularity: DefaultGranularity,
@@ -67,6 +74,9 @@ func New(v *Verifier, signer *keys.KeyPair, engine *authz.Engine, mintCacheSize 
 // the principal the gateway's root policy must authorise for everything
 // the bridge may delegate.
 func (b *Bridge) Signer() string { return b.signer.PublicID() }
+
+// Leeway is the clock skew the verifier tolerates on exp and nbf.
+func (b *Bridge) Leeway() time.Duration { return b.verifier.Leeway }
 
 // Principal is one bridged identity: the KeyNote principal name, the
 // credential licensing it, and the scope it was minted for.
@@ -81,6 +91,9 @@ type Principal struct {
 	Scope authz.DelegationScope
 	// CacheHit reports whether the credential came from the mint cache.
 	CacheHit bool
+	// ExpiresAt and NotBefore are the token's exp and nbf claims;
+	// NotBefore is zero when the token carries none.
+	ExpiresAt, NotBefore time.Time
 }
 
 // scopeOf derives the delegation scope a set of verified claims is
@@ -114,24 +127,29 @@ func (b *Bridge) scopeOf(now time.Time, c Claims) authz.DelegationScope {
 func (b *Bridge) Admit(now time.Time, token string) (*Principal, error) {
 	claims, err := b.verifier.Verify(now, token)
 	if err != nil {
-		b.tel.Counter("gateway.bridge.rejects").Inc()
+		b.rejects.Inc()
 		return nil, err
 	}
 	scope := b.scopeOf(now, claims)
 	if !scope.NotAfter.After(now) {
-		b.tel.Counter("gateway.bridge.rejects").Inc()
+		b.rejects.Inc()
 		return nil, ErrExpired
 	}
 	name := PrincipalPrefix + claims.Subject
 	cred, hit, err := b.mint.Mint(b.signer, name, scope)
 	if err != nil {
-		b.tel.Counter("gateway.bridge.mint_errors").Inc()
+		b.mintErrors.Inc()
 		return nil, fmt.Errorf("jwtbridge: mint for %s: %w", name, err)
 	}
 	if hit {
-		b.tel.Counter("gateway.bridge.mint_hits").Inc()
+		b.mintHits.Inc()
 	} else {
-		b.tel.Counter("gateway.bridge.mints").Inc()
+		b.mints.Inc()
 	}
-	return &Principal{Name: name, Credential: cred, Scope: scope, CacheHit: hit}, nil
+	p := &Principal{Name: name, Credential: cred, Scope: scope, CacheHit: hit,
+		ExpiresAt: time.Unix(claims.ExpiresAt, 0).UTC()}
+	if claims.NotBefore != 0 {
+		p.NotBefore = time.Unix(claims.NotBefore, 0).UTC()
+	}
+	return p, nil
 }

@@ -221,7 +221,7 @@ func (a *auditLog) append(rec *AuditRecord) error {
 	}
 	if werr != nil {
 		if terr := a.f.Truncate(a.size); terr != nil {
-			return fmt.Errorf("keycom: audit append failed (%w) and rewind failed (%v): log unusable", werr, terr)
+			return fmt.Errorf("keycom: audit append failed (%w) and rewind failed (%v): %w", werr, terr, ErrLogUnusable)
 		}
 		return fmt.Errorf("keycom: audit append: %w", werr)
 	}

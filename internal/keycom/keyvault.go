@@ -23,10 +23,10 @@ import (
 	"crypto/ed25519"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 
 	"securewebcom/internal/faultfs"
@@ -258,7 +258,7 @@ func (v *KeyVault) Put(kp *keys.KeyPair) error {
 		return fmt.Errorf("keycom: encode vault record: %w", err)
 	}
 	if err := v.wal.appendFrame(encodeFrame(payload)); err != nil {
-		if strings.Contains(err.Error(), "log unusable") {
+		if errors.Is(err, ErrLogUnusable) {
 			v.broken = err
 		}
 		return err

@@ -57,6 +57,11 @@ const DefaultSnapshotEvery = 64
 // commit is refused until the process restarts and recovery re-anchors.
 var ErrStoreBroken = errors.New("keycom: store broken, restart required")
 
+// ErrLogUnusable marks a failed append whose rewind also failed: the log
+// file may end in an unacknowledged partial frame, so its owner must
+// refuse further appends until recovery re-anchors it.
+var ErrLogUnusable = errors.New("log unusable")
+
 // StoreOptions configures OpenStore. The zero value is usable: real
 // disk, default snapshot cadence, wall clock, no telemetry.
 type StoreOptions struct {
@@ -411,7 +416,7 @@ func (s *Store) Commit(requester string, d rbac.Diff) (uint64, error) {
 // breakIfUnusable marks the store broken when a log rewind failed and
 // the file may hold an unacknowledged partial frame.
 func (s *Store) breakIfUnusable(err error) {
-	if strings.Contains(err.Error(), "log unusable") {
+	if errors.Is(err, ErrLogUnusable) {
 		s.broken = err
 	}
 }

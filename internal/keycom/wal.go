@@ -191,7 +191,7 @@ func (w *wal) appendFrame(frame []byte) error {
 	}
 	if werr != nil {
 		if terr := w.f.Truncate(w.size); terr != nil {
-			return fmt.Errorf("keycom: wal append failed (%w) and rewind failed (%v): log unusable", werr, terr)
+			return fmt.Errorf("keycom: wal append failed (%w) and rewind failed (%v): %w", werr, terr, ErrLogUnusable)
 		}
 		return fmt.Errorf("keycom: wal append: %w", werr)
 	}

@@ -13,9 +13,10 @@ import "sync"
 // Flush is called (the authz engine flushes on catalogue invalidation,
 // when new keys may have been registered).
 type MemoResolver struct {
-	r  Resolver
-	mu sync.RWMutex
-	m  map[string]memoEntry
+	r   Resolver
+	mu  sync.RWMutex
+	m   map[string]memoEntry
+	gen uint64 // bumped by Flush; guarded by mu
 }
 
 type memoEntry struct {
@@ -33,6 +34,7 @@ func NewMemoResolver(r Resolver) *MemoResolver {
 func (mr *MemoResolver) Resolve(nameOrID string) (string, error) {
 	mr.mu.RLock()
 	e, ok := mr.m[nameOrID]
+	gen := mr.gen
 	mr.mu.RUnlock()
 	if ok {
 		return e.id, e.err
@@ -44,8 +46,12 @@ func (mr *MemoResolver) Resolve(nameOrID string) (string, error) {
 	} else {
 		id, err = mr.r.Resolve(nameOrID)
 	}
+	// A resolution that straddled a Flush may predate the catalogue
+	// change the Flush announced: answer the caller, memoise nothing.
 	mr.mu.Lock()
-	mr.m[nameOrID] = memoEntry{id: id, err: err}
+	if mr.gen == gen {
+		mr.m[nameOrID] = memoEntry{id: id, err: err}
+	}
 	mr.mu.Unlock()
 	return id, err
 }
@@ -55,6 +61,7 @@ func (mr *MemoResolver) Resolve(nameOrID string) (string, error) {
 func (mr *MemoResolver) Flush() {
 	mr.mu.Lock()
 	mr.m = make(map[string]memoEntry)
+	mr.gen++
 	mr.mu.Unlock()
 }
 
